@@ -81,7 +81,6 @@ from repro.experiments.figure1 import (
 )
 from repro.experiments.headline import run_headline_claims
 from repro.itc02.library import available_benchmarks, export_benchmarks, load_benchmark
-from repro.devtools.profile import PROFILE_SORT_KEYS
 from repro.noc.characterization import characterize_noc
 from repro.runner.atomic import atomic_write_text
 from repro.runner.backends import (
@@ -101,7 +100,6 @@ from repro.runner.spec import (
 )
 from repro.runner.store import load_sweeps, save_stored_sweeps, save_sweeps
 from repro.schedule.planner import TestPlanner
-from repro.serve.http import create_server
 from repro.schedule.variants import FastestCompletionScheduler
 from repro.system.presets import PAPER_SYSTEMS, build_paper_system
 
@@ -862,6 +860,8 @@ def _cmd_history(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.serve.http import create_server
+
     dispatch_hosts = None
     if args.dispatch_hosts:
         dispatch_hosts = [
@@ -1520,7 +1520,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--sort",
-        choices=sorted(PROFILE_SORT_KEYS),
         default="cumulative",
         help="hotspot ranking (default: cumulative)",
     )

@@ -22,7 +22,6 @@ on how much the path conflicts alone constrain parallelism.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -90,54 +89,43 @@ class CircuitSwitchedSimulator:
         order; each is granted if *all* its resources are currently free.
         This is the same first-fit policy the greedy scheduler uses, so a
         feasible schedule replays without delays.
+
+        The loop is event driven: waiting transfers sit in a heap keyed by
+        ``(blocked_until, index)`` — the earliest cycle each could be granted
+        and its place in the grant order.  ``blocked_until`` starts at the
+        release time; when an examination finds a resource busy, it becomes
+        the latest ``busy_until`` among the transfer's resources.  The bound
+        is exact because ``busy_until`` only grows: a grant at ``now`` takes
+        only resources that are free at ``now``.  So each transfer is
+        examined only when it is due, the due transfers of one instant pop in
+        grant order, and the grants, their instants and the record order are
+        those of a rescan of every pending transfer at every event.  A
+        blocked transfer always waits on the end of some grant, so the loop
+        cannot stall.
         """
-        pending = sorted(
-            self._requests, key=lambda r: (r.priority, r.release_time, r.name)
-        )
-        busy_until: dict[Link, int] = {}
-        records: dict[str, TransferRecord] = {}
+        pending = sorted(self._requests, key=lambda r: (r.priority, r.release_time, r.name))
+        busy_until: dict[Link, int] = {
+            resource: 0 for request in pending for resource in request.resources
+        }
+        waiting = [(request.release_time, index) for index, request in enumerate(pending)]
+        heapq.heapify(waiting)
+        records: list[TransferRecord] = []
 
-        # Event times at which the resource picture can change.
-        event_times = sorted({request.release_time for request in pending})
-        event_heap = list(event_times)
-        heapq.heapify(event_heap)
-        granted: set[int] = set()
-        time_guard = itertools.count()
+        while waiting:
+            now, index = heapq.heappop(waiting)
+            request = pending[index]
+            blocked_until = max(map(busy_until.__getitem__, request.resources), default=0)
+            if blocked_until > now:
+                heapq.heappush(waiting, (blocked_until, index))
+                continue
+            end = now + request.duration
+            for resource in request.resources:
+                busy_until[resource] = end
+            records.append(TransferRecord(name=request.name, start=now, end=end))
 
-        while len(records) < len(pending):
-            if not event_heap:
-                raise ConfigurationError(
-                    "simulation deadlock: transfers remain but no future events exist"
-                )
-            now = heapq.heappop(event_heap)
-            # Skip duplicate event times.
-            while event_heap and event_heap[0] == now:
-                heapq.heappop(event_heap)
-
-            progress = True
-            while progress:
-                progress = False
-                for index, request in enumerate(pending):
-                    if index in granted or request.release_time > now:
-                        continue
-                    if all(
-                        busy_until.get(resource, 0) <= now
-                        for resource in request.resources
-                    ):
-                        start = now
-                        end = now + request.duration
-                        for resource in request.resources:
-                            busy_until[resource] = end
-                        records[request.name + f"#{index}"] = TransferRecord(
-                            name=request.name, start=start, end=end
-                        )
-                        granted.add(index)
-                        heapq.heappush(event_heap, end)
-                        progress = True
-            next(time_guard)
-
-        ordered = sorted(records.values(), key=lambda record: (record.start, record.name))
-        return ordered
+        # Stable sort: records of one instant and name stay in grant order.
+        records.sort(key=lambda record: (record.start, record.name))
+        return records
 
     def reset(self) -> None:
         """Discard all queued requests."""

@@ -4,10 +4,11 @@ against the circuit-switched simulator, and determinism."""
 import pytest
 
 from repro.analysis.metrics import compute_metrics
+from repro.experiments.figure1 import figure1_spec
 from repro.noc.simulator import CircuitSwitchedSimulator, TransferRequest
 from repro.schedule.planner import TestPlanner
 from repro.schedule.result import validate_schedule
-from repro.system.presets import build_paper_system
+from repro.system.presets import PAPER_SYSTEMS, build_paper_system
 
 
 @pytest.fixture(scope="module")
@@ -64,26 +65,40 @@ class TestPaperSystemPlanning:
 
 
 class TestSimulatorCrossValidation:
-    def test_schedule_replays_on_simulator_without_delays(self, d695_plan):
-        """Feeding the schedule's transfers (with its start times as release
+    def test_schedule_replays_on_simulator_without_delays(self):
+        """Feeding a schedule's transfers (with its start times as release
         times) to the circuit-switched simulator must reproduce the exact same
-        start/end times: the schedule never over-commits a link or port."""
-        simulator = CircuitSwitchedSimulator()
-        for index, assignment in enumerate(d695_plan.assignments):
-            simulator.add(
-                TransferRequest(
-                    name=assignment.core_id,
-                    resources=assignment.job.resources,
-                    duration=assignment.duration,
-                    release_time=assignment.start,
-                    priority=index,
+        start/end times: the schedule never over-commits a link or port.
+        Checked on every Figure 1 point of the six paper systems."""
+        replayed = 0
+        for name in sorted(PAPER_SYSTEMS):
+            spec = figure1_spec(name)
+            planner = TestPlanner(build_paper_system(name))
+            for point in spec.points():
+                plan = planner.plan(
+                    reused_processors=point.reused_processors,
+                    power_limit_fraction=point.power_limit_fraction,
                 )
-            )
-        records = {record.name: record for record in simulator.run()}
-        for assignment in d695_plan.assignments:
-            record = records[assignment.core_id]
-            assert record.start == assignment.start
-            assert record.end == assignment.end
+                simulator = CircuitSwitchedSimulator()
+                for index, assignment in enumerate(plan.assignments):
+                    simulator.add(
+                        TransferRequest(
+                            name=assignment.core_id,
+                            resources=assignment.job.resources,
+                            duration=assignment.duration,
+                            release_time=assignment.start,
+                            priority=index,
+                        )
+                    )
+                records = {record.name: record for record in simulator.run()}
+                assert len(records) == len(plan.assignments)
+                for assignment in plan.assignments:
+                    record = records[assignment.core_id]
+                    where = f"{name} {point.label} {assignment.core_id}"
+                    assert record.start == assignment.start, where
+                    assert record.end == assignment.end, where
+                replayed += 1
+        assert replayed == 56
 
     def test_unconstrained_simulation_is_a_lower_bound(self, d695_plan):
         """Releasing every transfer at time 0 can only shorten the span: the

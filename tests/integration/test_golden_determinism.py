@@ -6,15 +6,25 @@ power-total caching existed).  Every test here re-runs the same grids
 through today's code and requires the exported JSON to be byte-identical —
 the memoisation layers must be invisible in the results, on every backend,
 with and without the disk-backed system cache.
+
+``characterization.json`` and ``d695_characterized.json`` were recorded with
+the simulator's original rescan-every-request grant loop, so they pin the NoC
+characterisation campaign (``simulated_span`` included) across rewrites of
+that loop.
 """
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.noc.characterization import characterize_noc
+from repro.noc.network import Network, NocConfig
+from repro.system.presets import PAPER_SYSTEMS, build_paper_system
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -27,8 +37,40 @@ GOLDEN_SWEEPS = {
 }
 
 
+#: Mesh shapes and packet counts of the characterisation fixture.
+CHARACTERIZATION_MESHES = ((2, 2), (3, 5), (6, 6))
+CHARACTERIZATION_PACKET_COUNTS = (1, 50, 200, 1000)
+
+
 def run_sweep(*argv: str) -> None:
     assert main(["sweep", "--no-characterize", *argv]) == 0
+
+
+def test_characterization_matches_golden():
+    """The full campaign result of every paper network (default campaign)
+    and of three meshes at four packet counts."""
+    golden = json.loads((GOLDEN / "characterization.json").read_text())
+    paper = {
+        name: asdict(characterize_noc(build_paper_system(name).network))
+        for name in sorted(PAPER_SYSTEMS)
+    }
+    meshes = {}
+    for width, height in CHARACTERIZATION_MESHES:
+        network = Network(NocConfig(width=width, height=height))
+        for count in CHARACTERIZATION_PACKET_COUNTS:
+            meshes[f"{width}x{height}/{count}"] = asdict(
+                characterize_noc(network, packet_count=count)
+            )
+    assert paper == golden["paper_systems"]
+    assert meshes == golden["meshes"]
+
+
+def test_characterized_export_matches_golden(tmp_path, capsys):
+    """The d695_leon Figure 1 grid with characterisation on (the default)."""
+    out = tmp_path / "out.json"
+    assert main(["sweep", "d695_leon", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / "d695_characterized.json").read_bytes()
 
 
 @pytest.mark.parametrize("fixture", sorted(GOLDEN_SWEEPS))

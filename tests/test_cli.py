@@ -1,5 +1,10 @@
 """Tests of the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -13,6 +18,28 @@ class TestParser:
     def test_unknown_system_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["plan", "not_a_system"])
+
+
+class TestImportFootprint:
+    def test_cli_import_leaves_serve_and_devtools_unloaded(self):
+        """Every ``repro sweep`` shard worker imports the CLI module; the
+        serve daemon (http.server, ssl) and the lint framework load only in
+        the ``serve``/``profile``/``lint`` handlers."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'http.server' or m.startswith(('repro.serve', 'repro.devtools'))))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert completed.stdout.strip() == "[]"
+
+    def test_unknown_profile_sort_rejected(self, capsys):
+        assert main(["profile", "d695_leon", "--sort", "wallclock"]) == 1
+        assert "known: calls, cumulative, tottime" in capsys.readouterr().err
 
 
 class TestCommands:
