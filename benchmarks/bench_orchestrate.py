@@ -2,7 +2,7 @@
 
 Times the d695 Figure 1 grid twice: executed in-process through
 ``SweepRunner.run_stored`` (the single-host baseline) and orchestrated over
-3 local ``repro sweep --shard-index`` subprocess workers through
+3 local ``repro sweep --points`` subprocess workers through
 ``SweepRunner.orchestrate`` (spawn + monitor + history-carrying merge).  The
 gap is the orchestration overhead a distributed run pays on top of the
 planning work itself — dominated by interpreter start-up per worker, so it

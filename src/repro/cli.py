@@ -21,16 +21,16 @@ Installed as ``repro-noctest`` (see ``pyproject.toml``) and runnable as
   with build/characterisation caching (``--cache-dir``), a schema-versioned
   JSON result store (``--out``, re-printable via ``--load``), a durable
   sqlite store with incremental re-runs (``--store``, ``--resume``),
-  sharded execution of one deterministic slice of each grid
-  (``--shard-index``/``--shard-count``/``--shard-strategy`` or an explicit
-  point list via ``--points``, for distributing a sweep across hosts or CI
+  sliced execution of part of each grid (an explicit point list via
+  ``--points``, or the ``--shard-index``/``--shard-count`` helper naming
+  one contiguous block, for distributing a sweep across hosts or CI
   jobs), chunked commits (``--checkpoint``, so a killed worker's completed
   points survive for ``--resume``) and grids taken straight from a spec
   file (``--spec-json``, how orchestration workers are driven).
 * ``orchestrate [SYSTEM...]`` — the multi-host flow: fan each grid out
-  over N ``repro sweep`` subprocess workers (``--workers``), each writing
-  its own sqlite store, supervise them through per-worker heartbeat files
-  and a worker state machine, retry/requeue failed, hung or lost shards
+  over N ``repro sweep --points`` subprocess workers (``--workers``), each
+  writing its own sqlite store, supervise them through per-worker heartbeat
+  files and a worker state machine, retry/requeue failed, hung or lost shards
   (``--max-retries``/``--retry-backoff``/``--heartbeat-timeout``), then
   auto-merge the shard stores into ``--store`` with per-shard run history
   carried; the merged export (``--export-json``) is byte-identical to a
@@ -94,7 +94,7 @@ from repro.runner.dispatch import LAUNCHERS, beat_heartbeat
 from repro.runner.engine import SweepRunner
 from repro.runner.spec import (
     SCHEDULER_FACTORIES,
-    SHARD_STRATEGIES,
+    SweepPoint,
     SweepSpec,
     power_series_label,
 )
@@ -238,7 +238,6 @@ _SWEEP_RUN_OPTIONS: tuple[tuple[str, str], ...] = (
     ("resume", "--resume"),
     ("shard_index", "--shard-index"),
     ("shard_count", "--shard-count"),
-    ("shard_strategy", "--shard-strategy"),
     ("workdir", "--workdir"),
     ("points", "--points"),
     ("checkpoint", "--checkpoint"),
@@ -265,6 +264,33 @@ def _parse_point_indices(raw: str) -> tuple[int, ...]:
     if not indices:
         raise ConfigurationError("--points names no grid indices")
     return tuple(sorted(set(indices)))
+
+
+def _slice_points(args: argparse.Namespace, spec: SweepSpec) -> tuple[SweepPoint, ...] | None:
+    """The slice of ``spec`` a ``repro sweep`` run executes (``None``: all of it).
+
+    ``--shard-index I --shard-count N`` is a helper for manual multi-host
+    runs and CI: it names the contiguous block ``spec.shard(I, N)``, which
+    then runs exactly like an explicit ``--points`` list.
+
+    Raises:
+        ConfigurationError: for a bad ``--points`` list or an out-of-range
+            shard or point index.
+    """
+    if args.points is not None:
+        return spec.points_at(_parse_point_indices(args.points))
+    if args.shard_count is not None:
+        return spec.shard(args.shard_index, args.shard_count)
+    return None
+
+
+def _slice_label(args: argparse.Namespace) -> str | None:
+    """``shard I/N`` or ``points K`` for a sliced run (``None``: whole grids)."""
+    if args.shard_count is not None:
+        return f"shard {args.shard_index}/{args.shard_count}"
+    if args.points is not None:
+        return f"points {len(_parse_point_indices(args.points))}"
+    return None
 
 
 def _worker_exit(code: int) -> int:
@@ -445,23 +471,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "--shard-index and --shard-count go together: one names the shard, "
             "the other the partition size"
         )
-    if args.shard_count is not None and not args.store:
+    if args.points is not None and args.shard_count is not None:
         raise ConfigurationError(
-            "--shard-index/--shard-count need --store: shard results must land "
-            "in a sqlite store so `repro merge` can fold the shards together"
+            "--points and --shard-index/--shard-count both name the slice of "
+            "the grid to run; pass one"
         )
-    point_indices = (
-        _parse_point_indices(args.points) if args.points is not None else None
-    )
-    if point_indices is not None and not args.store:
+    sliced = args.points is not None or args.shard_count is not None
+    if sliced and not args.store:
         raise ConfigurationError(
-            "--points needs --store: point-sliced results must land in a "
-            "sqlite store so the dispatcher can merge and resume them"
-        )
-    if point_indices is not None and args.shard_count is not None:
-        raise ConfigurationError(
-            "--points and --shard-index/--shard-count are two ways to slice "
-            "the grid; pass one"
+            "--points and --shard-index/--shard-count need --store: a slice's "
+            "results must land in a sqlite store so `repro merge` (or the "
+            "dispatcher) can fold the slices together"
         )
     if args.checkpoint is not None and not args.store:
         raise ConfigurationError(
@@ -485,11 +505,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "--backend remote needs a host list "
             "(--hosts h1,h2,... or --hosts-file)"
         )
-    if args.shard_strategy != "contiguous" and args.shard_count is None and not orchestrated:
-        raise ConfigurationError(
-            "--shard-strategy needs --shard-index/--shard-count (or the "
-            "shard-workers backend, which partitions the grid itself)"
-        )
     if args.workers is not None and not orchestrated:
         raise ConfigurationError(
             "--workers configures the shard-workers backend; add "
@@ -506,15 +521,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"--backend {args.backend} needs --store: the shard workers' "
                 "results are merged into a sqlite store"
             )
-        if args.shard_count is not None:
+        if sliced:
             raise ConfigurationError(
                 f"--backend {args.backend} partitions the grid itself; drop "
-                "--shard-index/--shard-count (they configure a single worker)"
-            )
-        if point_indices is not None:
-            raise ConfigurationError(
-                f"--backend {args.backend} partitions the grid itself; drop "
-                "--points (it slices the grid for a single worker)"
+                "--points/--shard-index/--shard-count (they slice the grid "
+                "for a single worker)"
             )
         if args.resume and args.workdir is None:
             raise ConfigurationError(
@@ -529,7 +540,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             args.backend,
             jobs=args.jobs,
             workers=args.workers,
-            strategy=args.shard_strategy,
             hosts=hosts,
             launcher=args.launcher,
         )
@@ -551,18 +561,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     # Computed before executing anything so an out-of-range shard index
     # (or point index) fails fast instead of after the first grid ran.
-    if point_indices is not None:
-        planned_points = sum(len(spec.points_at(point_indices)) for spec in specs)
-    elif args.shard_count is not None:
-        planned_points = sum(
-            len(spec.shard(args.shard_index, args.shard_count, strategy=args.shard_strategy))
-            for spec in specs
-        )
-    else:
-        planned_points = sum(spec.point_count for spec in specs)
+    slices = [_slice_points(args, spec) for spec in specs]
+    planned_points = sum(
+        spec.point_count if points is None else len(points)
+        for spec, points in zip(specs, slices)
+    )
 
     if args.store:
-        _run_sweeps_stored(args, runner, specs)
+        _run_sweeps_stored(args, runner, list(zip(specs, slices)))
     else:
         _run_sweeps_plain(args, runner, specs)
 
@@ -609,36 +615,22 @@ def _run_sweeps_plain(
 
 
 def _run_sweeps_stored(
-    args: argparse.Namespace, runner: SweepRunner, specs: Sequence[SweepSpec]
+    args: argparse.Namespace,
+    runner: SweepRunner,
+    sliced_specs: Sequence[tuple[SweepSpec, Sequence[SweepPoint] | None]],
 ) -> None:
-    """Execute every spec (or one slice of it) against the sqlite store."""
-    sharded = args.shard_count is not None
-    point_indices = (
-        _parse_point_indices(args.points)
-        if getattr(args, "points", None) is not None
-        else None
-    )
+    """Execute every spec (or its slice) against the sqlite store."""
+    label = _slice_label(args)
+    source = label.replace(" ", ":") if label else "sweep"
     executed = skipped = 0
     # A sweep run is a genuine writer entry point: this process owns the
     # (shard) store for the duration of the run.
     with SweepDatabase(args.store) as db:  # repro-lint: disable=RL002
         reports = []
-        for spec in specs:
-            if point_indices is not None:
-                report = runner.run_points(
-                    spec, db, point_indices, resume=args.resume
-                )
-            elif sharded:
-                report = runner.run_shard(
-                    spec,
-                    db,
-                    shard_index=args.shard_index,
-                    shard_count=args.shard_count,
-                    strategy=args.shard_strategy,
-                    resume=args.resume,
-                )
-            else:
-                report = runner.run_stored(spec, db, resume=args.resume)
+        for spec, points in sliced_specs:
+            report = runner.run_stored(
+                spec, db, points=points, resume=args.resume, source=source
+            )
             reports.append(report)
             executed += report.executed_count
             skipped += report.skipped_count
@@ -651,9 +643,8 @@ def _run_sweeps_stored(
             print(f"wrote {written}")
     print(
         f"store {args.store}: {executed} executed, {skipped} skipped "
-        f"across {len(specs)} sweep(s)"
-        + (f" [shard {args.shard_index}/{args.shard_count}]" if sharded else "")
-        + (f" [points {len(point_indices)}]" if point_indices is not None else "")
+        f"across {len(sliced_specs)} sweep(s)"
+        + (f" [{label}]" if label else "")
         + (" [resume]" if args.resume else "")
     )
 
@@ -705,7 +696,8 @@ def _run_sweeps_orchestrated(
     carried = sum(r.runs_carried for report in reports for r in report.merge_reports)
     print(
         f"store {args.store}: {records} records, {runs} run(s) across "
-        f"{len(specs)} sweep(s) orchestrated on {runner.backend.worker_count} "
+        f"{len(specs)} sweep(s) orchestrated on "
+        f"{max(len(report.workers) for report in reports)} "
         f"shard worker(s) ({carried} shard run(s) carried; workdir "
         f"{reports[-1].workdir})"
     )
@@ -735,7 +727,6 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
         backend = RemoteDispatchBackend(
             hosts,
             workers=args.workers,
-            strategy=args.shard_strategy,
             timeout=args.worker_timeout,
             max_retries=max_retries,
             retry_backoff=args.retry_backoff,
@@ -747,7 +738,6 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
     else:
         backend = ShardWorkerBackend(
             workers=args.workers if args.workers is not None else 3,
-            strategy=args.shard_strategy,
             timeout=args.worker_timeout,
             max_retries=max_retries,
             retry_backoff=args.retry_backoff,
@@ -1012,12 +1002,6 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
         help="directory for persisted NoC-characterisation records",
     )
     parser.add_argument(
-        "--shard-strategy",
-        choices=SHARD_STRATEGIES,
-        default="contiguous",
-        help="shard partition strategy (default: contiguous)",
-    )
-    parser.add_argument(
         "--workdir",
         default=None,
         metavar="DIR",
@@ -1142,7 +1126,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="I",
-        help="with --shard-count: run only shard I (0-based) of each grid",
+        help="with --shard-count: run only shard I (0-based) of each grid — "
+        "a helper for manual multi-host runs that names the contiguous block "
+        "of points shard I covers",
     )
     sweep.add_argument(
         "--shard-count",
@@ -1157,7 +1143,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="I,J,...",
         help="run only these 0-based grid point indices (needs --store; how "
-        "cost-sized dispatch drives its workers)",
+        "orchestrated workers are driven)",
     )
     sweep.add_argument(
         "--checkpoint",
@@ -1199,7 +1185,7 @@ def build_parser() -> argparse.ArgumentParser:
     orchestrate = subparsers.add_parser(
         "orchestrate",
         help="fan a sweep grid out over local shard workers and merge the results",
-        description="Run each grid as N detached `repro sweep --shard-index` "
+        description="Run each grid as N detached `repro sweep --points` "
         "subprocess workers (one sqlite store per shard), monitor them, and "
         "auto-merge the shard stores into OUT_DB with per-shard run history "
         "carried.  The merged store's --export-json document is "

@@ -7,13 +7,13 @@ out over shard-worker subprocesses — always in deterministic point order),
 and persist the outcome as schema-versioned JSON with :func:`save_sweeps` /
 :func:`load_sweeps` or durably in a :class:`SweepDatabase` sqlite store
 (crash-safe, accumulates across runs, and enables incremental re-runs via
-:meth:`SweepRunner.run_stored`).  Grids also execute sharded: each
-deterministic shard of the point order (:meth:`SweepSpec.shard`) runs
-anywhere via :meth:`SweepRunner.run_shard` into its own store, and
-:meth:`SweepDatabase.merge` folds the shard stores back into one database
-record-identical to a single-host run — :meth:`SweepRunner.orchestrate`
+:meth:`SweepRunner.run_stored`).  Grids also execute sharded: each slice
+of the point order (:meth:`SweepSpec.shard` or :meth:`SweepSpec.points_at`)
+runs anywhere via ``SweepRunner.run_stored(..., points=...)`` into its own
+store, and :meth:`SweepDatabase.merge` folds the shard stores back into one
+database record-identical to a single-host run — :meth:`SweepRunner.orchestrate`
 (backend ``shard-workers``) automates that dispatch-monitor-merge cycle
-locally, with a worker-command hook for remote fan-out.  The paper's
+locally, with a pluggable launcher for remote fan-out.  The paper's
 experiment drivers
 (:mod:`repro.experiments`) and the ``repro sweep`` CLI are thin layers over
 this package.

@@ -11,18 +11,19 @@ the points execute to an :class:`ExecutionBackend`.  Three backends ship:
     the points, workers seeded with the parent's warm system cache, so a
     pool run is byte-for-byte identical to a serial one.
 :class:`ShardWorkerBackend`
-    The local stand-in for SSH/CI fan-out: partitions a grid with
-    :meth:`SweepSpec.shard <repro.runner.spec.SweepSpec.shard>`, spawns one
-    detached ``repro sweep --shard-index i --shard-count n --store``
-    subprocess per shard (each writing its own
+    The local stand-in for SSH/CI fan-out: partitions a grid into point
+    groups (measured-cost LPT groups, or the contiguous blocks of
+    :meth:`SweepSpec.shard <repro.runner.spec.SweepSpec.shard>`), spawns one
+    detached ``repro sweep --points i,j,... --store`` subprocess per
+    non-empty group (each writing its own
     :class:`~repro.runner.db.SweepDatabase`), supervises them through the
     fault-tolerant dispatch layer (:mod:`repro.runner.dispatch`: worker
     state machine, heartbeats, retry/requeue with resume), and folds the
     shard stores into the target store with
     :meth:`SweepDatabase.merge_all <repro.runner.db.SweepDatabase.merge_all>`
     (``carry_history=True``, so per-shard run trajectories survive the
-    merge).  A ``worker_command`` hook rewrites the spawned command line,
-    which is where a custom dispatcher (a CI job submitter) slots in.
+    merge).  A launcher callable rewrites the spawned command line, which
+    is where a custom dispatcher (a CI job submitter) slots in.
 :class:`RemoteDispatchBackend`
     The shard-worker backend pointed at a real host pool (``--hosts``):
     worker commands go through a pluggable *launcher* (``ssh`` by default,
@@ -52,7 +53,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError, OrchestrationError
 from repro.runner.atomic import atomic_write_text
@@ -66,19 +67,14 @@ from repro.runner.dispatch import (
     WorkerSupervisor,
     beat_heartbeat,
     failure_detail,
-    log_tail,
     make_launcher,
 )
-from repro.runner.spec import SHARD_STRATEGIES, SweepPoint, SweepSpec, make_scheduler
+from repro.runner.spec import SweepPoint, SweepSpec, make_scheduler
 from repro.schedule.planner import TestPlanner
 from repro.schedule.result import ScheduleResult
 
 if TYPE_CHECKING:  # imported lazily at runtime (db imports the store layer)
     from repro.runner.db import MergeReport, SweepDatabase
-
-# Kept under its historical private name; the implementation lives with the
-# rest of the failure-reporting helpers in the dispatch layer.
-_log_tail = log_tail
 
 
 def execute_point(point: SweepPoint, system_cache: SystemCache) -> ScheduleResult:
@@ -132,14 +128,13 @@ class WorkerPlan:
         spec_path: JSON file holding the sweep spec (``SweepSpec.to_dict``).
         store_path: sqlite store the worker writes its shard into.
         log_path: file capturing the worker's stdout/stderr.
-        argv: the default local command line.  A ``worker_command`` hook
-            receives this plan and may return a different command (e.g.
-            ``["ssh", host, *plan.argv]``) — the dispatch seam for remote
-            fan-out.
+        argv: the local command line (``repro sweep ... --points``).  The
+            dispatch launcher maps it to the command actually spawned (e.g.
+            ``["ssh", host, ...]``) — the seam for remote fan-out.
+        point_indices: the grid indices this worker executes (the
+            ``--points`` list; never empty).
         heartbeat_path: file the worker touches to prove progress (the
             supervisor's liveness signal; defaults next to the log file).
-        point_indices: explicit grid indices this worker executes when the
-            grid was cost-sized (``None`` for equal index/count shards).
     """
 
     shard_index: int
@@ -148,8 +143,8 @@ class WorkerPlan:
     store_path: Path
     log_path: Path
     argv: tuple[str, ...]
+    point_indices: tuple[int, ...]
     heartbeat_path: Path | None = None
-    point_indices: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -210,9 +205,8 @@ class ExecutionBackend:
 
     * ``supports_inline`` — the backend can execute an arbitrary point
       sequence in-process and return results in point order; required by
-      :meth:`SweepRunner.run <repro.runner.engine.SweepRunner.run>`,
-      :meth:`run_stored <repro.runner.engine.SweepRunner.run_stored>` and
-      :meth:`run_shard <repro.runner.engine.SweepRunner.run_shard>`.
+      :meth:`SweepRunner.run <repro.runner.engine.SweepRunner.run>` and
+      :meth:`run_stored <repro.runner.engine.SweepRunner.run_stored>`.
     * ``supports_orchestration`` — the backend can run a whole grid into a
       :class:`~repro.runner.db.SweepDatabase` on its own (dispatching
       workers, merging stores); required by :meth:`SweepRunner.orchestrate
@@ -360,21 +354,18 @@ class ProcessPoolBackend(ExecutionBackend):
 class ShardWorkerBackend(ExecutionBackend):
     """Orchestrate a grid as detached per-shard subprocess workers.
 
-    Each worker is an independent ``repro sweep --spec-json ...
-    --shard-index i --shard-count n --store`` process writing its own sqlite
-    store; the backend monitors them and merges the shard stores into the
-    target with history carried, so the merged store's export is
-    byte-identical to a serial run's while ``repro history`` still sees one
-    run per shard.  Locally this proves out the multi-host flow; pointing
-    ``worker_command`` at a remote dispatcher turns it into real fan-out
-    without touching the engine.
+    Each worker is an independent ``repro sweep --spec-json ... --points
+    i,j,... --store`` process writing its own sqlite store; the backend
+    monitors them and merges the shard stores into the target with history
+    carried, so the merged store's export is byte-identical to a serial
+    run's while ``repro history`` still sees one run per shard.  Locally
+    this proves out the multi-host flow; pointing ``launcher`` at a remote
+    dispatcher turns it into real fan-out without touching the engine.
 
     Args:
-        workers: number of shards (and worker processes) per grid.
-        strategy: shard partition strategy (see :meth:`SweepSpec.shard
-            <repro.runner.spec.SweepSpec.shard>`).
-        worker_command: optional hook mapping a :class:`WorkerPlan` to the
-            command line actually spawned (default: the plan's local argv).
+        workers: number of shards (and at most that many worker processes)
+            per grid; a grid with fewer points than workers starts one
+            worker per point.
         python: interpreter for the default local command
             (default: ``sys.executable``).
         timeout: wall-clock budget per worker *attempt*; an attempt still
@@ -405,8 +396,8 @@ class ShardWorkerBackend(ExecutionBackend):
 
     Raises:
         ConfigurationError: for a non-positive worker count, an unknown
-            shard strategy or launcher, a non-positive ``checkpoint_every``,
-            or invalid retry/heartbeat parameters.
+            launcher, a non-positive ``checkpoint_every``, or invalid
+            retry/heartbeat parameters.
     """
 
     name = "shard-workers"
@@ -416,8 +407,6 @@ class ShardWorkerBackend(ExecutionBackend):
         self,
         workers: int = 2,
         *,
-        strategy: str = "contiguous",
-        worker_command: Callable[[WorkerPlan], Sequence[str]] | None = None,
         python: str | None = None,
         timeout: float | None = None,
         poll_interval: float = 0.05,
@@ -431,18 +420,11 @@ class ShardWorkerBackend(ExecutionBackend):
     ) -> None:
         if workers < 1:
             raise ConfigurationError("shard workers must be a positive worker count")
-        if strategy not in SHARD_STRATEGIES:
-            known = ", ".join(SHARD_STRATEGIES)
-            raise ConfigurationError(
-                f"unknown shard strategy {strategy!r}; known strategies: {known}"
-            )
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ConfigurationError(
                 "checkpoint_every must be a positive number of points (or None)"
             )
         self.workers = workers
-        self.strategy = strategy
-        self.worker_command = worker_command
         self.python = python or sys.executable
         self.timeout = timeout
         self.poll_interval = poll_interval
@@ -484,16 +466,17 @@ class ShardWorkerBackend(ExecutionBackend):
         Writes the spec as JSON once (workers rebuild it with
         ``repro sweep --spec-json``, so arbitrary grids orchestrate — not
         just the ones expressible through grid flags) and plans one worker
-        per shard, each with its own store, log and heartbeat file.
-        Everything lands in a per-grid subdirectory (keyed by the spec's
-        content hash), so one ``workdir`` serves any number of orchestrated
-        grids without their shard stores colliding.
+        per non-empty point group, each with its own store, log and
+        heartbeat file.  Everything lands in a per-grid subdirectory (keyed
+        by the spec's content hash), so one ``workdir`` serves any number of
+        orchestrated grids without their shard stores colliding.
 
+        Every worker takes its group as an explicit ``--points`` list.
         ``point_groups`` (one index set per worker, from cost-based sizing)
-        switches the worker command line from ``--shard-index/--shard-count``
-        to an explicit ``--points`` list; the groups must be a disjoint
+        defaults to the contiguous blocks of :meth:`SweepSpec.shard
+        <repro.runner.spec.SweepSpec.shard>`; the groups must be a disjoint
         cover of the grid, which keeps the merged result byte-identical to
-        any other partition.
+        any other partition.  An empty group gets no worker.
         """
         workdir = workdir / spec.content_key()[:12]
         workdir.mkdir(parents=True, exist_ok=True)
@@ -504,14 +487,20 @@ class ShardWorkerBackend(ExecutionBackend):
             spec_path,
             json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n",
         )
-        if point_groups is not None and len(point_groups) != self.workers:
+        if point_groups is None:
+            point_groups = [
+                [point.index for point in spec.shard(index, self.workers)]
+                for index in range(self.workers)
+            ]
+        elif len(point_groups) != self.workers:
             raise ConfigurationError(
                 f"cost sizing produced {len(point_groups)} point group(s) "
                 f"for {self.workers} worker(s)"
             )
+        groups = [tuple(sorted(group)) for group in point_groups if group]
         plans = []
-        for index in range(self.workers):
-            store_path = workdir / f"shard-{index}-of-{self.workers}.db"
+        for index, indices in enumerate(groups):
+            store_path = workdir / f"shard-{index}-of-{len(groups)}.db"
             argv = [
                 self.python,
                 "-m",
@@ -521,22 +510,9 @@ class ShardWorkerBackend(ExecutionBackend):
                 str(spec_path),
                 "--store",
                 str(store_path),
+                "--points",
+                ",".join(str(i) for i in indices),
             ]
-            indices: tuple[int, ...] | None = None
-            if point_groups is not None:
-                indices = tuple(sorted(point_groups[index]))
-                argv.extend(["--points", ",".join(str(i) for i in indices)])
-            else:
-                argv.extend(
-                    [
-                        "--shard-index",
-                        str(index),
-                        "--shard-count",
-                        str(self.workers),
-                        "--shard-strategy",
-                        self.strategy,
-                    ]
-                )
             if resume:
                 argv.append("--resume")
             if characterize:
@@ -550,13 +526,13 @@ class ShardWorkerBackend(ExecutionBackend):
             plans.append(
                 WorkerPlan(
                     shard_index=index,
-                    shard_count=self.workers,
+                    shard_count=len(groups),
                     spec_path=spec_path,
                     store_path=store_path,
                     log_path=workdir / f"shard-{index}.log",
                     argv=tuple(argv),
-                    heartbeat_path=workdir / f"shard-{index}.heartbeat",
                     point_indices=indices,
+                    heartbeat_path=workdir / f"shard-{index}.heartbeat",
                 )
             )
         return plans
@@ -575,16 +551,14 @@ class ShardWorkerBackend(ExecutionBackend):
         Deterministic throughout (stable sort keys, index tie-breaks).
 
         Returns ``None`` — meaning "fall back to equal sharding" — when the
-        store holds no measurements for this grid or the grid has fewer
-        points than workers (equal sharding already handles the empty-shard
-        case).
+        store holds no measurements for this grid.  With fewer points than
+        workers the surplus groups are empty, and :meth:`plan_workers`
+        starts no worker for them.
         """
         costs = store.point_cost_rows(spec.content_key())
         if not costs:
             return None
         points = spec.points()
-        if len(points) < self.workers:
-            return None
         mean_cost = sum(costs.values()) / len(costs)
         weighted = sorted(
             ((costs.get(point.index, mean_cost), point.index) for point in points),
@@ -731,7 +705,6 @@ class ShardWorkerBackend(ExecutionBackend):
             hosts=self._dispatch_hosts(),
             policy=self.policy,
             launcher=self.launcher,
-            worker_command=self.worker_command,
             base_env=self._worker_env(),
         )
         return supervisor.run()
@@ -771,8 +744,6 @@ class RemoteDispatchBackend(ShardWorkerBackend):
         hosts: Sequence[str],
         *,
         workers: int | None = None,
-        strategy: str = "contiguous",
-        worker_command: Callable[[WorkerPlan], Sequence[str]] | None = None,
         python: str | None = None,
         timeout: float | None = None,
         poll_interval: float = 0.05,
@@ -791,8 +762,6 @@ class RemoteDispatchBackend(ShardWorkerBackend):
             )
         super().__init__(
             workers=workers if workers is not None else len(cleaned),
-            strategy=strategy,
-            worker_command=worker_command,
             python=python,
             timeout=timeout,
             poll_interval=poll_interval,
@@ -822,18 +791,15 @@ def make_backend(
     *,
     jobs: int | None = 1,
     workers: int | None = 2,
-    strategy: str = "contiguous",
-    worker_command: Callable[[WorkerPlan], Sequence[str]] | None = None,
     hosts: Sequence[str] | None = None,
     launcher: str | Launcher | None = None,
 ) -> ExecutionBackend:
     """Instantiate the execution backend called ``name``.
 
-    ``jobs`` configures the pool backend; ``workers``/``strategy``/
-    ``worker_command`` the shard-worker backends; ``hosts``/``launcher``
-    the remote backend (``workers=None`` there defaults to one shard per
-    host).  Parameters that do not apply to the named backend are checked,
-    not silently dropped.
+    ``jobs`` configures the pool backend; ``workers`` the shard-worker
+    backends; ``hosts``/``launcher`` the remote backend (``workers=None``
+    there defaults to one shard per host).  Parameters that do not apply to
+    the named backend are checked, not silently dropped.
 
     Raises:
         ConfigurationError: for an unknown backend name, hosts given to a
@@ -873,12 +839,6 @@ def make_backend(
         return RemoteDispatchBackend(
             hosts,
             workers=workers,
-            strategy=strategy,
-            worker_command=worker_command,
             launcher=launcher if launcher is not None else "ssh",
         )
-    return ShardWorkerBackend(
-        workers=workers if workers is not None else 2,
-        strategy=strategy,
-        worker_command=worker_command,
-    )
+    return ShardWorkerBackend(workers=workers if workers is not None else 2)

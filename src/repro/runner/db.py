@@ -12,8 +12,8 @@ sqlite (:meth:`SweepDatabase.win_rate_rows` /
 millions of records without loading record JSON into Python.
 
 Stores also compose: :meth:`SweepDatabase.merge` folds the per-shard stores
-written by :meth:`repro.runner.engine.SweepRunner.run_shard` back into one
-database — idempotent for identical overlaps, refusing conflicting records —
+written by sliced :meth:`repro.runner.engine.SweepRunner.run_stored` runs
+back into one database — idempotent for identical overlaps, refusing conflicting records —
 such that an N-shard run merges into a store byte-identical (via
 :meth:`export_document`) to a serial full run's.  With ``carry_history=True``
 the merge additionally carries every shard-side run across (run ids
@@ -797,9 +797,9 @@ class SweepDatabase:
         and without history.
 
         This is the reduce step of sharded execution: merging the shard
-        stores written by :meth:`SweepRunner.run_shard
-        <repro.runner.engine.SweepRunner.run_shard>` for every shard of a
-        grid yields a store whose :meth:`export_document` output is
+        stores written by sliced :meth:`SweepRunner.run_stored
+        <repro.runner.engine.SweepRunner.run_stored>` runs for every shard
+        of a grid yields a store whose :meth:`export_document` output is
         byte-identical to a serial full run's.
 
         To fold several stores with all-or-nothing semantics across the

@@ -232,7 +232,7 @@ class DispatchPolicy:
         heartbeat_timeout: seconds after the last observed heartbeat before
             a worker is declared ``Lost`` and killed.  Staleness only
             applies once a first beat was seen — a command that never beats
-            (e.g. a custom ``worker_command``) is governed solely by
+            (e.g. one a custom launcher substituted) is governed solely by
             ``attempt_timeout``.
         attempt_timeout: wall-clock budget per attempt; an attempt still
             running after this long is killed and marked ``TimedOut``
@@ -487,8 +487,6 @@ class WorkerSupervisor:
         policy: retry/heartbeat/scheduling parameters.
         launcher: maps ``(host, argv, dispatch_env)`` to the spawned
             command (default: plain local subprocess).
-        worker_command: optional hook replacing a plan's argv outright (the
-            historical dispatch seam; when set, the hook owns resume flags).
         base_env: environment for spawned workers (default: a copy of this
             process's, with the dispatch variables layered on top).
 
@@ -503,7 +501,6 @@ class WorkerSupervisor:
         hosts: Sequence[str],
         policy: DispatchPolicy | None = None,
         launcher: Launcher = local_launcher,
-        worker_command: Callable[["WorkerPlan"], Sequence[str]] | None = None,
         base_env: Mapping[str, str] | None = None,
     ) -> None:
         if not plans:
@@ -514,7 +511,6 @@ class WorkerSupervisor:
         self.hosts = list(hosts)
         self.policy = policy if policy is not None else DispatchPolicy()
         self.launcher = launcher
-        self.worker_command = worker_command
         self.base_env = dict(base_env) if base_env is not None else os.environ.copy()
         self._tasks: dict[int, _Task] = {}
 
@@ -657,8 +653,6 @@ class WorkerSupervisor:
         return attempt
 
     def _attempt_argv(self, plan: "WorkerPlan", number: int) -> list[str]:
-        if self.worker_command is not None:
-            return list(self.worker_command(plan))
         argv = list(plan.argv)
         if number > 1 and "--resume" not in argv:
             # Retries resume the partial shard store the previous attempt

@@ -11,12 +11,13 @@ workers (:class:`~repro.runner.backends.ShardWorkerBackend`, via
 :meth:`SweepRunner.orchestrate`).  The output order is the spec's point
 order on every backend.
 
-Grids can also be executed in pieces: :meth:`SweepRunner.run_shard` runs one
-deterministic shard of the point order (``SweepSpec.shard``) into its own
-sqlite store, and :meth:`repro.runner.db.SweepDatabase.merge` folds the shard
-stores back into a single database record-identical to a full single-host
-run — the building block of distributed sweeps, and what
-:meth:`SweepRunner.orchestrate` automates end to end.
+Grids can also be executed in pieces: :meth:`SweepRunner.run_stored` with a
+``points`` slice (``SweepSpec.shard`` or ``SweepSpec.points_at``) runs part
+of the point order into its own sqlite store, and
+:meth:`repro.runner.db.SweepDatabase.merge` folds the slice stores back into
+a single database record-identical to a full single-host run — the building
+block of distributed sweeps, and what :meth:`SweepRunner.orchestrate`
+automates end to end.
 
 System builds go through a :class:`~repro.runner.cache.SystemCache` — one
 build per SoC instead of one per point; parallel runs pre-build in the
@@ -112,13 +113,11 @@ class StoreRunReport:
         spec_key: the spec's content key in the store.
         records: every record the store now holds for the spec, in point
             order — freshly executed points merged with previously stored
-            ones (for a shard run, the shard's points only).
+            ones (for a sliced run, the slice's points only).
         executed_indices: point indices executed by this run.
         skipped_indices: point indices skipped because the store already
             held their records (always empty without ``resume``).
         run_id: the store's id for this run (the history time axis).
-        shard: ``(shard_index, shard_count)`` for a :meth:`SweepRunner.run_shard`
-            invocation, ``None`` for a full-grid run.
     """
 
     spec: SweepSpec
@@ -127,7 +126,6 @@ class StoreRunReport:
     executed_indices: tuple[int, ...]
     skipped_indices: tuple[int, ...]
     run_id: int
-    shard: tuple[int, int] | None = None
 
     @property
     def executed_count(self) -> int:
@@ -240,17 +238,28 @@ class SweepRunner:
                 points in-process (e.g. the shard-worker backend).
         """
         self._require_inline("run()")
-        return self._run_points(spec.points())
+        return self._execute(spec.points())
 
     def run_stored(
         self,
         spec: SweepSpec,
         store: "SweepDatabase",
         *,
+        points: Sequence[SweepPoint] | None = None,
         resume: bool = False,
         source: str = "sweep",
     ) -> StoreRunReport:
-        """Execute ``spec`` against a sqlite store, optionally incrementally.
+        """Execute ``spec`` (or a slice of it) against a sqlite store.
+
+        ``points`` restricts the run to a slice of the grid — a shard
+        (``spec.shard(i, n)``) or an explicit index set
+        (``spec.points_at(indices)``); ``None`` runs the whole grid.  Points
+        keep their global indices, so the stores of any disjoint cover of
+        the grid merge (:meth:`SweepDatabase.merge
+        <repro.runner.db.SweepDatabase.merge>`) into a store whose exported
+        document is byte-identical to a full run's.  An empty slice still
+        records its (empty) run, so an over-provisioned fleet of shards
+        stays intact.
 
         With ``resume``, points whose ``(spec_key, point_index)`` already
         hold a *compatible* record are skipped and served from the store;
@@ -263,100 +272,63 @@ class SweepRunner:
         planned independently and records are keyed by point index, a
         resumed — even parallel — run yields records identical to a
         from-scratch serial run of the full grid.  Without ``resume``, the
-        whole grid is executed and re-recorded.
+        selected points are executed and re-recorded.
 
         The executed records are committed to the store in one transaction
         together with a ``runs`` row holding the executed/skipped counters
         (or in chunks of ``checkpoint_every`` points, each its own run row,
         when the runner was configured to checkpoint).  ``source`` labels
-        the run in the store's history time axis
-        (default ``"sweep"``; the serve daemon passes ``"serve:<job id>"``
-        so `repro history` attributes API-submitted runs).
+        the run in the store's history time axis (default ``"sweep"``;
+        ``repro sweep`` passes ``"shard:<i>/<n>"`` or ``"points:<n>"`` for
+        sliced runs and the serve daemon ``"serve:<job id>"``, so
+        `repro history` attributes every run).
 
         Raises:
             ConfigurationError: when the configured backend cannot execute
                 points in-process (e.g. the shard-worker backend).
         """
         self._require_inline("run_stored()")
-        return self._run_into_store(
-            spec, store, spec.points(), resume=resume, source=source, shard=None
-        )
-
-    def run_shard(
-        self,
-        spec: SweepSpec,
-        store: "SweepDatabase",
-        *,
-        shard_index: int,
-        shard_count: int,
-        strategy: str = "contiguous",
-        resume: bool = False,
-    ) -> StoreRunReport:
-        """Execute one shard of ``spec`` into ``store`` (typically its own file).
-
-        The shard is ``spec.shard(shard_index, shard_count, strategy=...)`` —
-        a deterministic slice of the grid's point order that keeps every
-        point's global index.  Each shard can therefore run on a different
-        host into its own :class:`~repro.runner.db.SweepDatabase`, and
-        folding the shard stores back together with
-        :meth:`SweepDatabase.merge <repro.runner.db.SweepDatabase.merge>`
-        yields a store record-identical to a single-host
-        :meth:`run_stored` of the full grid (the exported schema-v1
-        document is byte-for-byte the same).
-
-        ``resume`` behaves as in :meth:`run_stored`, restricted to the
-        shard's points.  The run lands with source ``shard:<index>/<count>``
-        so the store's history records which shard produced it.
-
-        Raises:
-            ConfigurationError: for an invalid shard index/count/strategy
-                (see :meth:`SweepSpec.shard <repro.runner.spec.SweepSpec.shard>`),
-                or when the configured backend cannot execute points
-                in-process (e.g. the shard-worker backend).
-        """
-        self._require_inline("run_shard()")
-        points = spec.shard(shard_index, shard_count, strategy=strategy)
-        return self._run_into_store(
-            spec,
-            store,
-            points,
-            resume=resume,
-            source=f"shard:{shard_index}/{shard_count}",
-            shard=(shard_index, shard_count),
-        )
-
-    def run_points(
-        self,
-        spec: SweepSpec,
-        store: "SweepDatabase",
-        indices: Sequence[int],
-        *,
-        resume: bool = False,
-    ) -> StoreRunReport:
-        """Execute an arbitrary index subset of ``spec`` into ``store``.
-
-        The free-form counterpart of :meth:`run_shard` for partitions that
-        are not equal slices — cost-based dispatch sizes its shards by
-        measured per-point planning cost and hands each worker its index
-        set (``repro sweep --points``).  Points keep their global indices
-        (``SweepSpec.points_at``), so any disjoint cover of the grid merges
-        back byte-identical to a serial full run, exactly like the built-in
-        shard strategies.  The run lands with source ``points:<n>``.
-
-        Raises:
-            ConfigurationError: for an empty or out-of-range selection, or
-                when the configured backend cannot execute points
-                in-process.
-        """
-        self._require_inline("run_points()")
-        points = spec.points_at(indices)
-        return self._run_into_store(
-            spec,
-            store,
-            points,
-            resume=resume,
-            source=f"points:{len(points)}",
-            shard=None,
+        if points is None:
+            points = spec.points()
+        spec_key = store.ensure_sweep(spec)
+        existing = self._reusable_indices(store, spec_key) if resume else frozenset()
+        pending = tuple(point for point in points if point.index not in existing)
+        skipped = len(points) - len(pending)
+        if not pending:
+            # An all-skipped (or empty-slice) run still records its runs row
+            # so counters, history and over-provisioned shards stay intact.
+            run_id = store.record_run(
+                spec_key, [], executed=0, skipped=skipped, source=source
+            )
+        else:
+            chunk_size = self.checkpoint_every or len(pending)
+            for start in range(0, len(pending), chunk_size):
+                chunk = pending[start : start + chunk_size]
+                outcomes = self._execute(chunk)
+                run_id = store.record_run(
+                    spec_key,
+                    [outcome.record() for outcome in outcomes],
+                    executed=len(chunk),
+                    # The skipped counter describes the whole resumed run;
+                    # it rides on the first chunk so per-run sums stay right.
+                    skipped=skipped if start == 0 else 0,
+                    source=source,
+                    point_costs=self.backend.measured_costs(),
+                )
+        # Restricted to this run's points: when several slices land in the
+        # same store, a slice's report must not leak the other slices' rows.
+        wanted = {point.index for point in points}
+        return StoreRunReport(
+            spec=spec,
+            spec_key=spec_key,
+            records=tuple(
+                record
+                for record in store.records(spec_key)
+                if int(record["index"]) in wanted
+            ),
+            executed_indices=tuple(point.index for point in pending),
+            skipped_indices=tuple(sorted(existing.intersection(wanted))),
+            run_id=run_id,
         )
 
     def orchestrate(
@@ -370,13 +342,14 @@ class SweepRunner:
         """Run the whole grid of ``spec`` into ``store`` via the backend's workers.
 
         The orchestration counterpart of :meth:`run_stored`: the backend
-        partitions the grid, dispatches one worker per shard (each into its
-        own store), and merges the shard stores into ``store`` with history
-        carried — the merged store exports byte-identical to a serial full
-        run, and its run count equals the sum of the shard run counts.  The
-        runner's characterisation settings (``characterize``,
-        ``packet_count``, ``cache_dir``) are forwarded to the workers so an
-        orchestrated run is configured exactly like an in-process one.
+        partitions the grid into point groups, dispatches one worker per
+        non-empty group (each into its own store), and merges the shard
+        stores into ``store`` with history carried — the merged store
+        exports byte-identical to a serial full run, and its run count
+        equals the sum of the shard run counts.  The runner's
+        characterisation settings (``characterize``, ``packet_count``,
+        ``cache_dir``) are forwarded to the workers so an orchestrated run
+        is configured exactly like an in-process one.
 
         Raises:
             ConfigurationError: when the configured backend cannot
@@ -400,61 +373,6 @@ class SweepRunner:
             workdir=workdir,
         )
 
-    def _run_into_store(
-        self,
-        spec: SweepSpec,
-        store: "SweepDatabase",
-        points: Sequence[SweepPoint],
-        *,
-        resume: bool,
-        source: str,
-        shard: tuple[int, int] | None,
-    ) -> StoreRunReport:
-        """Execute ``points`` of ``spec`` against ``store`` and commit one run."""
-        spec_key = store.ensure_sweep(spec)
-        existing = self._reusable_indices(store, spec_key) if resume else frozenset()
-        pending = tuple(point for point in points if point.index not in existing)
-        skipped = len(points) - len(pending)
-        if not pending:
-            # An all-skipped (or empty-shard) run still records its runs row
-            # so counters, history and over-provisioned workers stay intact.
-            run_id = store.record_run(
-                spec_key, [], executed=0, skipped=skipped, source=source
-            )
-        else:
-            chunk_size = self.checkpoint_every or len(pending)
-            for start in range(0, len(pending), chunk_size):
-                chunk = pending[start : start + chunk_size]
-                outcomes = self._run_points(chunk)
-                run_id = store.record_run(
-                    spec_key,
-                    [outcome.record() for outcome in outcomes],
-                    executed=len(chunk),
-                    # The skipped counter describes the whole resumed run;
-                    # it rides on the first chunk so per-run sums stay right.
-                    skipped=skipped if start == 0 else 0,
-                    source=source,
-                    point_costs=self.backend.measured_costs(),
-                )
-        # Restricted to this run's points: when several shards land in the
-        # same store, a shard's report must not leak the other shards' rows.
-        wanted = {point.index for point in points}
-        return StoreRunReport(
-            spec=spec,
-            spec_key=spec_key,
-            records=tuple(
-                record
-                for record in store.records(spec_key)
-                if int(record["index"]) in wanted
-            ),
-            executed_indices=tuple(point.index for point in pending),
-            skipped_indices=tuple(
-                sorted(existing.intersection(point.index for point in points))
-            ),
-            run_id=run_id,
-            shard=shard,
-        )
-
     def _reusable_indices(self, store: "SweepDatabase", spec_key: str) -> frozenset[int]:
         """Stored point indices whose records this runner's settings can reuse."""
         reusable = set()
@@ -471,7 +389,7 @@ class SweepRunner:
                 reusable.add(int(record["index"]))
         return frozenset(reusable)
 
-    def _run_points(self, points: Sequence[SweepPoint]) -> list[SweepOutcome]:
+    def _execute(self, points: Sequence[SweepPoint]) -> list[SweepOutcome]:
         """Characterise and execute ``points``, returning outcomes in order."""
         characterizations = self._characterize_systems(points)
         results = self.backend.execute(points, system_cache=self.system_cache)

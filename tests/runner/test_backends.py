@@ -68,8 +68,8 @@ class TestRegistry:
     def test_shard_worker_validation(self):
         with pytest.raises(ConfigurationError, match="positive"):
             ShardWorkerBackend(workers=0)
-        with pytest.raises(ConfigurationError, match="strategy"):
-            ShardWorkerBackend(workers=2, strategy="random")
+        with pytest.raises(ConfigurationError, match="launcher"):
+            ShardWorkerBackend(workers=2, launcher="carrier-pigeon")
 
 
 class TestRunnerBackendSelection:
@@ -112,7 +112,7 @@ class TestCapabilityChecks:
             with pytest.raises(ConfigurationError, match="in-process"):
                 runner.run_stored(small_spec, db)
             with pytest.raises(ConfigurationError, match="in-process"):
-                runner.run_shard(small_spec, db, shard_index=0, shard_count=2)
+                runner.run_stored(small_spec, db, points=small_spec.shard(0, 2))
 
     def test_inline_backends_cannot_orchestrate(self, small_spec, tmp_path):
         with SweepDatabase(tmp_path / "s.db") as db:
@@ -122,19 +122,50 @@ class TestCapabilityChecks:
 
 
 class TestWorkerPlanning:
-    def test_plans_one_worker_per_shard(self, small_spec, tmp_path):
-        backend = ShardWorkerBackend(workers=3, strategy="strided")
-        plans = backend.plan_workers(small_spec, tmp_path)
-        assert [plan.shard_index for plan in plans] == [0, 1, 2]
-        assert len({plan.store_path for plan in plans}) == 3
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("cost_sizing", [False, True])
+    def test_plans_one_worker_per_point_group(
+        self, small_spec, tmp_path, cost_sizing, workers
+    ):
+        """Every worker takes an explicit --points list, whether the groups
+        come from measured costs or from equal shards; the lists cover the
+        grid disjointly and no worker is planned for an empty group."""
+        backend = ShardWorkerBackend(workers=workers, cost_sizing=cost_sizing)
+        with SweepDatabase(tmp_path / "costs.db") as db:
+            SweepRunner(jobs=1).run_stored(small_spec, db)  # measures point costs
+            groups = backend.plan_point_groups(small_spec, db) if cost_sizing else None
+        plans = backend.plan_workers(small_spec, tmp_path / "work", point_groups=groups)
+
+        assert len(plans) == min(workers, small_spec.point_count)
+        assert [plan.shard_index for plan in plans] == list(range(len(plans)))
+        assert len({plan.store_path for plan in plans}) == len(plans)
+        covered = [index for plan in plans for index in plan.point_indices]
+        assert sorted(covered) == list(range(small_spec.point_count))
         for plan in plans:
+            assert plan.point_indices
+            assert plan.shard_count == len(plans)
             assert plan.spec_path.exists()
-            assert "--spec-json" in plan.argv
-            position = plan.argv.index("--shard-index")
-            assert plan.argv[position + 1] == str(plan.shard_index)
-            assert "--shard-strategy" in plan.argv
-            assert "strided" in plan.argv
+            assert "--shard-index" not in plan.argv
+            position = plan.argv.index("--points")
+            assert plan.argv[position + 1] == ",".join(map(str, plan.point_indices))
             assert "--no-characterize" in plan.argv
+
+    def test_equal_groups_are_the_contiguous_shards(self, tmp_path):
+        """Without measured costs the workers get the same contiguous blocks
+        `spec.shard(i, n)` names, as --points lists."""
+        from repro.experiments.figure1 import figure1_spec
+
+        spec = figure1_spec("d695_leon")
+        plans = ShardWorkerBackend(workers=3).plan_workers(spec, tmp_path)
+        assert [plan.point_indices for plan in plans] == [
+            tuple(point.index for point in spec.shard(index, 3)) for index in range(3)
+        ]
+        assert [plan.point_indices for plan in plans] == [(0, 1, 2), (3, 4, 5), (6, 7)]
+
+    def test_point_groups_must_match_the_worker_count(self, small_spec, tmp_path):
+        backend = ShardWorkerBackend(workers=2)
+        with pytest.raises(ConfigurationError, match="3 point group"):
+            backend.plan_workers(small_spec, tmp_path, point_groups=[(0,), (1,), ()])
 
     def test_characterisation_settings_forwarded(self, small_spec, tmp_path):
         backend = ShardWorkerBackend(workers=2)
@@ -183,46 +214,52 @@ class TestShardWorkerOrchestration:
         assert report.run_count == sum(shard_run_counts) == 3
 
     def test_orchestration_with_more_workers_than_points(self, small_spec, tmp_path):
-        """An over-provisioned fleet produces empty shards, which must run,
-        store and merge like any other shard."""
+        """An over-provisioned fleet starts no worker for an empty point
+        group: 4 workers over 2 points run 2 workers, one run each, and the
+        merged export is still byte-identical to a serial run's."""
+        serial = save_sweeps(
+            tmp_path / "serial.json",
+            [(small_spec, SweepRunner(jobs=1).run(small_spec))],
+        )
         backend = ShardWorkerBackend(workers=4)
         with SweepDatabase(tmp_path / "merged.db") as db:
             report = SweepRunner(backend=backend).orchestrate(
                 small_spec, db, workdir=tmp_path / "work"
             )
             assert report.record_count == small_spec.point_count == 2
-            assert report.run_count == 4  # empty shards still record their run
-            records = db.records(small_spec.content_key())
-        serial = [o.record() for o in SweepRunner(jobs=1).run(small_spec)]
-        assert records == serial
+            assert len(report.workers) == 2
+            assert report.run_count == 2
+            exported = db.export_document(tmp_path / "merged.json")
+        assert exported.read_bytes() == serial.read_bytes()
 
-    def test_worker_command_hook_sees_every_plan(self, small_spec, tmp_path):
-        """The dispatch seam: the hook receives each plan (with the default
-        argv) and decides the spawned command — here a pass-through, in real
-        deployments an ssh/CI wrapper."""
+    def test_launcher_sees_every_worker_command(self, small_spec, tmp_path):
+        """The dispatch seam: the launcher receives each worker's host slot
+        and --points command line and decides the spawned command — here a
+        pass-through, in real deployments an ssh/CI wrapper."""
         seen = []
 
-        def passthrough(plan):
-            seen.append(plan)
-            return plan.argv
+        def passthrough(host, argv, env):
+            seen.append((host, list(argv)))
+            return list(argv)
 
-        backend = ShardWorkerBackend(workers=2, worker_command=passthrough)
+        backend = ShardWorkerBackend(workers=2, launcher=passthrough)
         with SweepDatabase(tmp_path / "merged.db") as db:
             SweepRunner(backend=backend).orchestrate(
                 small_spec, db, workdir=tmp_path / "work"
             )
-        assert [plan.shard_index for plan in seen] == [0, 1]
-        assert all(plan.argv[0] == sys.executable for plan in seen)
+        assert [host for host, _ in seen] == ["local/0", "local/1"]
+        assert all(argv[0] == sys.executable for _, argv in seen)
+        assert [argv[argv.index("--points") + 1] for _, argv in seen] == ["0", "1"]
 
     def test_failing_worker_raises_with_log_tail(self, small_spec, tmp_path):
-        def broken(plan):
+        def broken(host, argv, env):
             return [
                 sys.executable,
                 "-c",
                 "import sys; print('shard exploded'); sys.exit(3)",
             ]
 
-        backend = ShardWorkerBackend(workers=2, worker_command=broken)
+        backend = ShardWorkerBackend(workers=2, launcher=broken)
         with SweepDatabase(tmp_path / "merged.db") as db:
             with pytest.raises(OrchestrationError, match="exited 3"):
                 SweepRunner(backend=backend).orchestrate(
@@ -234,10 +271,10 @@ class TestShardWorkerOrchestration:
         assert "shard exploded" in log_path.read_text()
 
     def test_hung_worker_killed_after_timeout(self, small_spec, tmp_path):
-        def hang(plan):
+        def hang(host, argv, env):
             return [sys.executable, "-c", "import time; time.sleep(60)"]
 
-        backend = ShardWorkerBackend(workers=2, worker_command=hang, timeout=0.3)
+        backend = ShardWorkerBackend(workers=2, launcher=hang, timeout=0.3)
         with SweepDatabase(tmp_path / "merged.db") as db:
             with pytest.raises(OrchestrationError, match="still running"):
                 SweepRunner(backend=backend).orchestrate(
@@ -278,10 +315,18 @@ class TestCostBasedSharding:
             db.ensure_sweep(small_spec)
             assert backend.plan_point_groups(small_spec, db) is None
 
-    def test_fewer_points_than_workers_falls_back(self, small_spec, tmp_path):
+    def test_lpt_over_more_workers_than_points_plans_no_empty_worker(
+        self, small_spec, tmp_path
+    ):
+        """Cost sizing with 4 workers over 2 points leaves 2 groups empty;
+        only the 2 non-empty groups get a worker."""
         backend = ShardWorkerBackend(workers=4, cost_sizing=True)
-        with self.seeded_store(small_spec, tmp_path / "s.db", {0: 1.0}) as db:
-            assert backend.plan_point_groups(small_spec, db) is None
+        with self.seeded_store(small_spec, tmp_path / "s.db", {0: 3.0, 1: 1.0}) as db:
+            groups = backend.plan_point_groups(small_spec, db)
+        assert groups == [(0,), (1,), (), ()]
+        plans = backend.plan_workers(small_spec, tmp_path / "work", point_groups=groups)
+        assert [plan.point_indices for plan in plans] == [(0,), (1,)]
+        assert [plan.shard_count for plan in plans] == [2, 2]
 
     def test_lpt_balances_measured_costs(self, tmp_path):
         """One dominant point gets a worker to itself; the cheap points pack

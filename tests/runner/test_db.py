@@ -236,7 +236,9 @@ class TestMerge:
     @staticmethod
     def _shard_store(spec, path, index, count):
         with SweepDatabase(path) as db:
-            SweepRunner(jobs=1).run_shard(spec, db, shard_index=index, shard_count=count)
+            SweepRunner(jobs=1).run_stored(
+                spec, db, points=spec.shard(index, count), source=f"shard:{index}/{count}"
+            )
         return path
 
     def test_merged_shards_export_byte_identical_to_serial_run(self, tmp_path):
@@ -477,16 +479,18 @@ class TestCarryHistoryMerge:
                 assert merged.run_count() == sequential.run_count() == 3
 
     def test_run_count_equals_sum_of_shard_run_counts(self, spec, tmp_path):
-        """Through the real run_shard path: the merged store's run count is
-        the sum of the shard stores' (including a resumed shard's 2 runs)."""
+        """Through real sliced runs: the merged store's run count is the sum
+        of the shard stores' (including a resumed shard's 2 runs)."""
         paths = []
         for index in range(3):
             path = tmp_path / f"real-shard-{index}.db"
             with SweepDatabase(path) as db:
-                SweepRunner(jobs=1).run_shard(spec, db, shard_index=index, shard_count=3)
+                points = spec.shard(index, 3)
+                source = f"shard:{index}/3"
+                SweepRunner(jobs=1).run_stored(spec, db, points=points, source=source)
                 if index == 0:  # a resumed re-run adds a second run row
-                    SweepRunner(jobs=1).run_shard(
-                        spec, db, shard_index=index, shard_count=3, resume=True
+                    SweepRunner(jobs=1).run_stored(
+                        spec, db, points=points, resume=True, source=source
                     )
             paths.append(path)
         with SweepDatabase(tmp_path / "merged.db") as merged:

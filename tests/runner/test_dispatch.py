@@ -36,13 +36,19 @@ def make_plan(tmp_path, index=0, count=1, argv=("true",)):
         store_path=tmp_path / f"shard-{index}-of-{count}.db",
         log_path=tmp_path / f"shard-{index}.log",
         argv=tuple(argv),
+        point_indices=(index,),
         heartbeat_path=tmp_path / f"shard-{index}.heartbeat",
     )
 
 
 def python_command(body):
     """A worker command running ``body`` (dedented) in this interpreter."""
-    return (sys.executable, "-c", textwrap.dedent(body))
+    return [sys.executable, "-c", textwrap.dedent(body)]
+
+
+def running(body):
+    """A launcher that spawns ``body`` in place of the plan's command."""
+    return lambda host, argv, env: python_command(body)
 
 
 #: A fast supervision cadence so the retry tests stay subsecond.
@@ -239,7 +245,7 @@ class TestSupervisor:
             [plan],
             hosts=["local/0"],
             policy=DispatchPolicy(**FAST),
-            worker_command=lambda p: python_command("print('done')"),
+            launcher=running("print('done')"),
         )
         (outcome,) = supervisor.run()
         assert outcome.state is WorkerState.FINISHED
@@ -265,7 +271,7 @@ class TestSupervisor:
             [plan],
             hosts=["local/0"],
             policy=DispatchPolicy(max_retries=2, **FAST),
-            worker_command=lambda p: python_command(body),
+            launcher=running(body),
         )
         (outcome,) = supervisor.run()
         assert outcome.state is WorkerState.FINISHED
@@ -286,7 +292,7 @@ class TestSupervisor:
             [plan],
             hosts=["local/0"],
             policy=DispatchPolicy(max_retries=1, **FAST),
-            worker_command=lambda p: python_command("raise SystemExit(7)"),
+            launcher=running("raise SystemExit(7)"),
         )
         (outcome,) = supervisor.run()
         assert outcome.state is WorkerState.FAILED
@@ -305,7 +311,7 @@ class TestSupervisor:
             [plan],
             hosts=["local/0"],
             policy=DispatchPolicy(attempt_timeout=0.3, **FAST),
-            worker_command=lambda p: python_command("import time; time.sleep(60)"),
+            launcher=running("import time; time.sleep(60)"),
         )
         (outcome,) = supervisor.run()
         assert outcome.state is WorkerState.TIMED_OUT
@@ -322,7 +328,7 @@ class TestSupervisor:
             [plan],
             hosts=["local/0"],
             policy=DispatchPolicy(heartbeat_timeout=0.3, **FAST),
-            worker_command=lambda p: python_command(body),
+            launcher=running(body),
         )
         (outcome,) = supervisor.run()
         assert outcome.state is WorkerState.LOST
@@ -331,13 +337,14 @@ class TestSupervisor:
 
     def test_worker_that_never_beats_is_not_declared_lost(self, tmp_path):
         """Staleness needs an observed beat: a command that never beats
-        (custom worker_command) is governed by the attempt timeout only."""
+        (a launcher-substituted command) is governed by the attempt timeout
+        only."""
         plan = make_plan(tmp_path)
         supervisor = WorkerSupervisor(
             [plan],
             hosts=["local/0"],
             policy=DispatchPolicy(heartbeat_timeout=0.05, **FAST),
-            worker_command=lambda p: python_command("import time; time.sleep(0.4)"),
+            launcher=running("import time; time.sleep(0.4)"),
         )
         (outcome,) = supervisor.run()
         assert outcome.state is WorkerState.FINISHED
@@ -355,14 +362,7 @@ class TestSupervisor:
         """
 
         def launcher(host, argv, env):
-            return [argv[0], "-c", argv[2].replace("WORKER_HOST_SLOT_VALUE", host)]
-
-        def command(plan):
-            return python_command(
-                body.replace(
-                    'os.environ["WORKER_HOST_SLOT"]', '"WORKER_HOST_SLOT_VALUE"'
-                )
-            )
+            return python_command(body.replace('os.environ["WORKER_HOST_SLOT"]', repr(host)))
 
         plan = make_plan(tmp_path)
         supervisor = WorkerSupervisor(
@@ -370,7 +370,6 @@ class TestSupervisor:
             hosts=["bad", "good"],
             policy=DispatchPolicy(max_retries=3, host_quarantine_after=1, **FAST),
             launcher=launcher,
-            worker_command=command,
         )
         (outcome,) = supervisor.run()
         assert outcome.state is WorkerState.FINISHED
@@ -392,7 +391,7 @@ class TestSupervisor:
             [plan],
             hosts=["local/0"],
             policy=DispatchPolicy(**FAST),
-            worker_command=lambda p: python_command(body),
+            launcher=running(body),
         )
         (outcome,) = supervisor.run()
         assert outcome.state is WorkerState.FINISHED
@@ -408,11 +407,39 @@ class TestSupervisor:
             [plan],
             hosts=["local/0"],
             policy=DispatchPolicy(**FAST),
-            worker_command=lambda p: python_command(body),
+            launcher=running(body),
         )
         (outcome,) = supervisor.run()
         assert outcome.state is WorkerState.FINISHED
         assert not plan.heartbeat_path.exists()
+
+    def test_launcher_receives_the_resumed_argv_on_a_retry(self, tmp_path):
+        """The launcher is the one launch seam: it sees the plan's argv on
+        the first attempt and the --resume form on every retry."""
+        marker = tmp_path / "first-attempt"
+        body = f"""
+            import pathlib
+            marker = pathlib.Path({str(marker)!r})
+            if not marker.exists():
+                marker.touch()
+                raise SystemExit(3)
+        """
+        seen = []
+
+        def launcher(host, argv, env):
+            seen.append(list(argv))
+            return python_command(body)
+
+        plan = make_plan(tmp_path, argv=("repro", "sweep"))
+        supervisor = WorkerSupervisor(
+            [plan],
+            hosts=["local/0"],
+            policy=DispatchPolicy(max_retries=1, **FAST),
+            launcher=launcher,
+        )
+        (outcome,) = supervisor.run()
+        assert outcome.state is WorkerState.FINISHED
+        assert seen == [["repro", "sweep"], ["repro", "sweep", "--resume"]]
 
     def test_retry_argv_appends_resume(self, tmp_path):
         plan = make_plan(tmp_path, argv=("python", "-m", "repro.cli", "sweep"))

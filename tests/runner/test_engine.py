@@ -137,18 +137,26 @@ class TestRunnerConfiguration:
         assert shared.stats.misses == 1
 
 
+def run_shard(spec, db, index, count, *, resume=False):
+    """Run shard ``index`` of ``count`` the way `repro sweep --shard-index` does."""
+    return SweepRunner(jobs=1).run_stored(
+        spec,
+        db,
+        points=spec.shard(index, count),
+        resume=resume,
+        source=f"shard:{index}/{count}",
+    )
+
+
 class TestShardExecution:
     def test_shard_executes_only_its_points(self, d695_spec, tmp_path):
         from repro.runner.db import SweepDatabase
 
         with SweepDatabase(tmp_path / "shard.db") as db:
-            report = SweepRunner(jobs=1).run_shard(
-                d695_spec, db, shard_index=0, shard_count=3
-            )
+            report = run_shard(d695_spec, db, 0, 3)
             expected = tuple(p.index for p in d695_spec.shard(0, 3))
             assert report.executed_indices == expected
             assert report.skipped_indices == ()
-            assert report.shard == (0, 3)
             assert tuple(r["index"] for r in report.records) == expected
             (run,) = db.runs()
             assert run.source == "shard:0/3"
@@ -164,29 +172,10 @@ class TestShardExecution:
         for index in range(3):
             path = tmp_path / f"shard-{index}.db"
             with SweepDatabase(path) as db:
-                SweepRunner(jobs=1).run_shard(
-                    d695_spec, db, shard_index=index, shard_count=3
-                )
+                run_shard(d695_spec, db, index, 3)
             shard_paths.append(path)
         with SweepDatabase(tmp_path / "merged.db") as merged:
             for path in shard_paths:
-                with SweepDatabase(path) as shard:
-                    merged.merge(shard)
-            records = merged.records(d695_spec.content_key())
-        assert records == [outcome.record() for outcome in serial_outcomes]
-
-    def test_strided_shards_merge_to_serial_records(
-        self, d695_spec, serial_outcomes, tmp_path
-    ):
-        from repro.runner.db import SweepDatabase
-
-        with SweepDatabase(tmp_path / "merged.db") as merged:
-            for index in range(2):
-                path = tmp_path / f"shard-{index}.db"
-                with SweepDatabase(path) as db:
-                    SweepRunner(jobs=1).run_shard(
-                        d695_spec, db, shard_index=index, shard_count=2, strategy="strided"
-                    )
                 with SweepDatabase(path) as shard:
                     merged.merge(shard)
             records = merged.records(d695_spec.content_key())
@@ -196,12 +185,8 @@ class TestShardExecution:
         from repro.runner.db import SweepDatabase
 
         with SweepDatabase(tmp_path / "shard.db") as db:
-            first = SweepRunner(jobs=1).run_shard(
-                d695_spec, db, shard_index=1, shard_count=3, resume=True
-            )
-            again = SweepRunner(jobs=1).run_shard(
-                d695_spec, db, shard_index=1, shard_count=3, resume=True
-            )
+            first = run_shard(d695_spec, db, 1, 3, resume=True)
+            again = run_shard(d695_spec, db, 1, 3, resume=True)
             assert first.executed_count == len(d695_spec.shard(1, 3))
             assert again.executed_count == 0
             assert again.skipped_indices == first.executed_indices
@@ -212,9 +197,7 @@ class TestShardExecution:
 
         with SweepDatabase(tmp_path / "shard.db") as db:
             with pytest.raises(ConfigurationError, match="out of range"):
-                SweepRunner(jobs=1).run_shard(
-                    d695_spec, db, shard_index=3, shard_count=3
-                )
+                run_shard(d695_spec, db, 3, 3)
 
     def test_empty_shards_run_merge_and_export_end_to_end(
         self, d695_spec, serial_outcomes, tmp_path
@@ -230,9 +213,7 @@ class TestShardExecution:
         for index in range(10):
             path = tmp_path / f"shard-{index}.db"
             with SweepDatabase(path) as db:
-                report = SweepRunner(jobs=1).run_shard(
-                    d695_spec, db, shard_index=index, shard_count=10
-                )
+                report = run_shard(d695_spec, db, index, 10)
                 if index >= d695_spec.point_count:
                     assert report.executed_count == 0
                     assert report.records == ()
@@ -255,10 +236,8 @@ class TestShardReportsOnSharedStore:
         from repro.runner.db import SweepDatabase
 
         with SweepDatabase(tmp_path / "shared.db") as db:
-            SweepRunner(jobs=1).run_shard(d695_spec, db, shard_index=0, shard_count=3)
-            second = SweepRunner(jobs=1).run_shard(
-                d695_spec, db, shard_index=1, shard_count=3
-            )
+            run_shard(d695_spec, db, 0, 3)
+            second = run_shard(d695_spec, db, 1, 3)
             expected = tuple(p.index for p in d695_spec.shard(1, 3))
             assert tuple(r["index"] for r in second.records) == expected
             # ...while the store itself accumulates both shards.
@@ -295,7 +274,7 @@ class TestCheckpointedRuns:
 
         runner = SweepRunner(checkpoint_every=1)
         with SweepDatabase(tmp_path / "partial.db") as db:
-            runner.run_points(d695_spec, db, [0, 1], resume=False)
+            runner.run_stored(d695_spec, db, points=d695_spec.points_at([0, 1]))
             report = runner.run_stored(d695_spec, db, resume=True)
             assert len(report.executed_indices) == d695_spec.point_count - 2
             assert report.skipped_indices == (0, 1)
@@ -309,7 +288,9 @@ class TestPointSubsetRuns:
         from repro.runner.db import SweepDatabase
 
         with SweepDatabase(tmp_path / "points.db") as db:
-            report = SweepRunner().run_points(d695_spec, db, [4, 2])
+            report = SweepRunner().run_stored(
+                d695_spec, db, points=d695_spec.points_at([4, 2]), source="points:2"
+            )
             (run,) = db.runs()
             assert run.source == "points:2"
             assert [r["reused_processors"] for r in db.records(report.spec_key)] == [
@@ -322,8 +303,10 @@ class TestPointSubsetRuns:
 
         runner = SweepRunner()
         with SweepDatabase(tmp_path / "points.db") as db:
-            runner.run_points(d695_spec, db, [0, 1])
-            report = runner.run_points(d695_spec, db, [0, 1, 2], resume=True)
+            runner.run_stored(d695_spec, db, points=d695_spec.points_at([0, 1]))
+            report = runner.run_stored(
+                d695_spec, db, points=d695_spec.points_at([0, 1, 2]), resume=True
+            )
             assert report.executed_indices == (2,)
             assert report.skipped_indices == (0, 1)
 
@@ -334,4 +317,4 @@ class TestPointSubsetRuns:
         runner = SweepRunner(backend=ShardWorkerBackend(workers=2))
         with SweepDatabase(tmp_path / "s.db") as db:
             with pytest.raises(ConfigurationError, match="in-process"):
-                runner.run_points(d695_spec, db, [0])
+                runner.run_stored(d695_spec, db, points=d695_spec.points_at([0]))

@@ -138,12 +138,11 @@ class TestShard:
         """An 8-point grid (4 reuse levels x 2 power series)."""
         return small_spec(processor_counts=(0, 2, 4, 6))
 
-    @pytest.mark.parametrize("strategy", ["contiguous", "strided"])
-    def test_shards_partition_the_grid(self, strategy):
+    def test_shards_partition_the_grid(self):
         """Shards are disjoint and their union is the full point sequence,
         with every point keeping its global index."""
         spec = self.grid()
-        shards = [spec.shard(i, 3, strategy=strategy) for i in range(3)]
+        shards = [spec.shard(i, 3) for i in range(3)]
         merged = sorted((p for shard in shards for p in shard), key=lambda p: p.index)
         assert tuple(merged) == spec.points()
         indices = [p.index for shard in shards for p in shard]
@@ -156,18 +155,13 @@ class TestShard:
         assert [p.index for p in shards[0]] == [0, 1, 2]
         assert [p.index for p in shards[2]] == [6, 7]
 
-    def test_strided_deals_round_robin(self):
-        spec = self.grid()
-        assert [p.index for p in spec.shard(1, 3, strategy="strided")] == [1, 4, 7]
-
     def test_single_shard_is_the_full_grid(self):
         spec = self.grid()
         assert spec.shard(0, 1) == spec.points()
 
-    @pytest.mark.parametrize("strategy", ["contiguous", "strided"])
-    def test_more_shards_than_points_leaves_trailing_shards_empty(self, strategy):
+    def test_more_shards_than_points_leaves_trailing_shards_empty(self):
         spec = small_spec(processor_counts=(0,), power_limits={"no power limit": None})
-        shards = [spec.shard(i, 3, strategy=strategy) for i in range(3)]
+        shards = [spec.shard(i, 3) for i in range(3)]
         assert [len(s) for s in shards] == [1, 0, 0]
 
     def test_shards_are_deterministic(self):
@@ -188,19 +182,14 @@ class TestShard:
         with pytest.raises(ConfigurationError, match=r"0 <= shard_index < shard_count"):
             self.grid().shard(3, 3)
 
-    @pytest.mark.parametrize("strategy", ["contiguous", "strided"])
-    def test_oversized_count_still_partitions_the_grid(self, strategy):
+    def test_oversized_count_still_partitions_the_grid(self):
         """shard_count greater than the point count yields valid empty
         shards whose union is still exactly the grid."""
         spec = self.grid()  # 8 points
-        shards = [spec.shard(i, 13, strategy=strategy) for i in range(13)]
+        shards = [spec.shard(i, 13) for i in range(13)]
         merged = sorted((p for shard in shards for p in shard), key=lambda p: p.index)
         assert tuple(merged) == spec.points()
         assert sum(1 for shard in shards if not shard) == 13 - 8
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ConfigurationError, match="shard strategy"):
-            self.grid().shard(0, 2, strategy="random")
 
 
 class TestPointSelection:

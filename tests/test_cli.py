@@ -421,6 +421,50 @@ class TestShardAndMergeCommands:
         assert "3 executed, 0 skipped across 1 sweep(s) [shard 0/3]" in out
         assert "for 3 grid points" in out
 
+    def test_shard_flags_run_the_points_of_that_shard(self, capsys, tmp_path):
+        """--shard-index/--shard-count is a helper naming a contiguous block:
+        it stores the same records as the equivalent --points list, and
+        labels its run shard:I/N."""
+        from repro.runner.db import SweepDatabase
+
+        assert self._shard(tmp_path / "shard.db", 1, 3) == 0
+        points = tmp_path / "points.db"
+        assert (
+            main(
+                [
+                    "sweep",
+                    "d695_leon",
+                    "--no-characterize",
+                    "--store",
+                    str(points),
+                    "--points",
+                    "3,4,5",
+                ]
+            )
+            == 0
+        )
+        assert "[points 3]" in capsys.readouterr().out
+        with SweepDatabase.open_reader(tmp_path / "shard.db") as shard:
+            assert [run.source for run in shard.runs()] == ["shard:1/3"]
+            shard_doc = shard.export_document(tmp_path / "shard.json")
+        with SweepDatabase.open_reader(points) as listed:
+            assert [run.source for run in listed.runs()] == ["points:3"]
+            listed_doc = listed.export_document(tmp_path / "points.json")
+        assert shard_doc.read_bytes() == listed_doc.read_bytes()
+
+    def test_empty_shard_records_one_empty_run(self, capsys, tmp_path):
+        """More shards than points: the surplus shard runs nothing but still
+        records its run, so a fixed CI shard matrix never fails."""
+        from repro.runner.db import SweepDatabase
+
+        store = tmp_path / "shard.db"
+        assert self._shard(store, 9, 10) == 0
+        out = capsys.readouterr().out
+        assert "0 executed, 0 skipped across 1 sweep(s) [shard 9/10]" in out
+        with SweepDatabase.open_reader(store) as db:
+            assert db.record_count() == 0
+            assert [run.source for run in db.runs()] == ["shard:9/10"]
+
     def test_merge_is_idempotent(self, capsys, tmp_path):
         shard = tmp_path / "shard.db"
         assert self._shard(shard, 2, 3) == 0
@@ -525,58 +569,6 @@ class TestBackendSelection:
     def test_workers_flag_requires_shard_workers_backend(self, capsys):
         assert main(["sweep", "d695_leon", "--workers", "3"]) == 1
         assert "shard-workers" in capsys.readouterr().err
-
-    def test_shard_strategy_requires_shard_flags(self, capsys):
-        assert main(["sweep", "d695_leon", "--shard-strategy", "strided"]) == 1
-        assert "--shard-strategy" in capsys.readouterr().err
-
-    def test_strided_shards_merge_byte_identical(self, capsys, tmp_path):
-        """--shard-strategy on the CLI: two strided shards merge to the
-        serial document like contiguous ones."""
-        serial = tmp_path / "serial.json"
-        base = [
-            "sweep",
-            "d695_leon",
-            "--counts",
-            "0,2",
-            "--power-limits",
-            "none",
-            "--no-characterize",
-        ]
-        assert main([*base, "--out", str(serial)]) == 0
-        for index in range(2):
-            assert (
-                main(
-                    [
-                        *base,
-                        "--store",
-                        str(tmp_path / f"shard-{index}.db"),
-                        "--shard-index",
-                        str(index),
-                        "--shard-count",
-                        "2",
-                        "--shard-strategy",
-                        "strided",
-                    ]
-                )
-                == 0
-            )
-        capsys.readouterr()
-        merged = tmp_path / "merged.json"
-        assert (
-            main(
-                [
-                    "merge",
-                    str(tmp_path / "m.db"),
-                    str(tmp_path / "shard-0.db"),
-                    str(tmp_path / "shard-1.db"),
-                    "--export-json",
-                    str(merged),
-                ]
-            )
-            == 0
-        )
-        assert merged.read_bytes() == serial.read_bytes()
 
     def test_load_rejects_backend_flag(self, capsys, tmp_path):
         assert main(["sweep", "--load", str(tmp_path / "r.json"), "--backend", "pool"]) == 1
@@ -716,7 +708,9 @@ class TestOrchestrateCommand:
             == 0
         )
         out = capsys.readouterr().out
-        assert "2 records, 4 run(s) across 2 sweep(s)" in out
+        # One point per grid: the second worker's group is empty, so each
+        # grid starts one worker and records one run.
+        assert "2 records, 2 run(s) across 2 sweep(s) orchestrated on 1 shard" in out
 
     def test_orchestrate_resume_requires_workdir(self, capsys, tmp_path):
         assert (
